@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"wwb/internal/chrome"
 	"wwb/internal/fleet"
 )
 
@@ -89,7 +90,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8079", "supervisor admin listen address")
 		manifestPath = flag.String("manifest", "", "JSON fleet manifest (overrides -data/-shards/-replicas/-base-port)")
-		data         = flag.String("data", "", "artifact every replica serves at boot (.wwb snapshot or JSON)")
+		data         = flag.String("data", "", "artifact every replica serves at boot (.wwb snapshot or .wwbd delta)")
 		shards       = flag.Int("shards", 2, "shard count")
 		replicas     = flag.Int("replicas", 1, "replicas per shard")
 		basePort     = flag.Int("base-port", 8081, "first replica port; slot s,r listens on base-port + s*replicas + r")
@@ -126,7 +127,7 @@ func main() {
 	if m.Data == "" {
 		log.Fatal("a boot artifact is required (-data or manifest \"data\"): supervised replicas serve snapshots, not self-assembled studies")
 	}
-	if _, err := fleet.ValidateSnapshot(m.Data); err != nil {
+	if _, _, err := chrome.DecodeAnyPath(m.Data); err != nil {
 		log.Fatalf("boot artifact %s failed validation: %v", m.Data, err)
 	}
 

@@ -1,14 +1,14 @@
-// Command wwbgen generates a synthetic study dataset and writes it as
-// JSON, CSV, or a .wwb binary snapshot: the rank lists and traffic-
-// distribution curves a downstream analysis (or the wwbserve server)
-// consumes. Generation is fully deterministic in the seed, and file
-// output is atomic: the target path only ever holds a complete,
-// flushed dataset.
+// Command wwbgen generates a synthetic study dataset and writes it as a
+// .wwb binary snapshot — the rank lists and traffic-distribution curves
+// a downstream analysis (or the wwbserve server) consumes — or as CSV
+// rank lists for humans. Generation is fully deterministic in the
+// seed, and file output is atomic: the target path only ever holds a
+// complete, flushed dataset.
 //
 // Usage:
 //
-//	wwbgen -scale small -seed 42 -months feb -o dataset.json
-//	wwbgen -scale default -seed 42 -o study.wwb -format wwb
+//	wwbgen -scale small -seed 42 -months feb -o study.wwb
+//	wwbgen -scale default -seed 42 -format csv -o lists.csv
 //
 // Append mode rolls an existing binary snapshot forward by one month
 // without rebuilding the covered window: only the new month's cells
@@ -45,7 +45,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "world generation seed")
 		months    = flag.String("months", "all", "months to assemble: all, feb, or an inclusive range like 2021-09..2022-03")
 		out       = flag.String("o", "-", "output path (- for stdout)")
-		format    = flag.String("format", "json", "output format: json (lossless), wwb (binary snapshot with interned index, near-instant load), or csv (rank lists only)")
+		format    = flag.String("format", "wwb", "output format: wwb (binary snapshot with provenance and interned index, loadable by wwbserve/wwbfleet) or csv (rank lists only, for humans); append mode also takes wwbd")
 		threshold = flag.Int64("privacy-threshold", 50, "minimum unique clients per site per month")
 		topN      = flag.Int("topn", 10000, "rank list depth")
 		workers   = flag.Int("workers", 0, "assembly worker goroutines (0 = one per CPU, 1 = sequential; output is identical)")
@@ -60,12 +60,10 @@ func main() {
 		return
 	}
 
-	switch *format {
-	case "json", "csv", "wwb":
-	default:
+	if *format != "wwb" && *format != "csv" {
 		// Rejected before the (potentially minutes-long) assembly, not
 		// after.
-		log.Fatalf("unknown -format %q (want json, wwb, or csv)", *format)
+		log.Fatalf("unknown -format %q (want wwb or csv)", *format)
 	}
 	// Scale is validated here, before the expensive world generation —
 	// the error enumerates every accepted name, huge included.
@@ -106,14 +104,9 @@ func main() {
 	log.Printf("assembly peak heap: %.1f MiB", float64(chrome.AssemblePeakHeapBytes())/(1<<20))
 
 	prov := chrome.SnapshotProvenance{Tool: "wwbgen", WorldSeed: *seed, Scale: *scale}
-	var encode func(io.Writer) error
-	switch *format {
-	case "json":
-		encode = ds.Encode
-	case "csv":
+	encode := func(w io.Writer) error { return ds.EncodeSnapshot(w, prov) }
+	if *format == "csv" {
 		encode = ds.EncodeCSV
-	case "wwb":
-		encode = func(w io.Writer) error { return ds.EncodeSnapshot(w, prov) }
 	}
 	if *out == "-" {
 		if err := encode(os.Stdout); err != nil {
@@ -151,20 +144,13 @@ func runAppend(monthName, basePath string, rollDist bool, format, out string, wo
 	if !explicit["format"] {
 		format = "wwbd"
 	}
-	switch format {
-	case "wwbd", "wwb":
-	case "json", "csv":
+	if format != "wwbd" && format != "wwb" {
 		log.Fatalf("-format %q unavailable in append mode: deltas bind to their base by binary checksum and provenance (want wwbd or wwb)", format)
-	default:
-		log.Fatalf("unknown -format %q (want wwbd or wwb)", format)
 	}
 
 	ds, info, err := chrome.DecodeAnyPath(basePath)
 	if err != nil {
 		log.Fatalf("loading base %s: %v", basePath, err)
-	}
-	if info.Provenance.Tool == "" {
-		log.Fatalf("base %s carries no provenance (JSON dataset?): append cannot regenerate its world — re-export the base as a .wwb snapshot first", basePath)
 	}
 	wcfg, err := world.ConfigForScale(info.Provenance.Scale)
 	if err != nil {

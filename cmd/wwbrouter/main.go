@@ -4,8 +4,11 @@
 // cross-shard queries (per-site rank profiles, the public bucket
 // export) fan out to every shard and merge in canonical order, so
 // every response is byte-identical to one unsharded wwbserve holding
-// the whole dataset. POST /admin/swap rolls the entire fleet to a new
-// dataset artifact with zero downtime.
+// the whole dataset. The router holds no swap endpoint: a fleet rolls
+// to a new artifact through its wwbfleet supervisor (POST /admin/swap
+// on the supervisor), which validates the artifact and checks its
+// provenance first. The router notices the new epoch on the replicas'
+// responses.
 //
 // Topology comes from -shards: semicolon-separated shard groups, each
 // a comma-separated replica list, in shard-index order:

@@ -5,26 +5,32 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wwb/internal/chrome"
 	"wwb/internal/fleet"
 )
 
-// TestDatasetOnlyMode exercises the -data path: a dataset round-
-// tripped through the wwbgen JSON format, served without a study.
+// TestDatasetOnlyMode exercises the -data path: a dataset written as
+// a wwbgen .wwb file and loaded back, served without a study.
 func TestDatasetOnlyMode(t *testing.T) {
-	// Reuse the study's dataset via encode/decode so the test covers
+	// Reuse the study's dataset via a file on disk so the test covers
 	// the same loading path the -data flag uses.
 	var buf bytes.Buffer
-	if err := testStudyDataset().Encode(&buf); err != nil {
+	if err := testStudyDataset().EncodeSnapshot(&buf, chrome.SnapshotProvenance{Tool: "wwbgen", Scale: "small"}); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := chrome.Decode(&buf)
+	path := filepath.Join(t.TempDir(), "study.wwb")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := loadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newDatasetServer(ds, fleet.Assignment{}).routes(middlewareConfig{}))
+	srv := httptest.NewServer(fleet.NewServer(ds, fleet.ServerConfig{Month: ds.Opts.DistMonth}).Routes(fleet.MiddlewareConfig{}))
 	defer srv.Close()
 
 	// Lists work; category is empty without a study.

@@ -36,21 +36,33 @@ import (
 	"wwb/internal/chaos"
 	"wwb/internal/chrome"
 	"wwb/internal/core"
+	"wwb/internal/experiments"
 	"wwb/internal/fleet"
 	"wwb/internal/metrics"
 	"wwb/internal/world"
 )
 
-// loadSnapshot is the POST /admin/swap loader: a plain heap decode,
-// deliberately not the mmap fast path — a swapped-in mapping would
-// have to outlive the request that installed it, and the old epoch's
-// pages must stay valid until its last in-flight request drains.
-// Heap-decoded datasets make both lifetimes GC-managed. Going through
-// DecodeAnyPath means a swap target may be a .wwbd delta, whose base
-// chain is resolved relative to the delta's own directory.
+// loadSnapshot is the POST /admin/swap loader. Like boot-time
+// loading it goes through chrome.DecodeAnyPath, so a swap target may
+// be a .wwbd delta, whose base chain is resolved relative to the
+// delta's own directory. The decoded dataset copies everything it
+// keeps, so an epoch's lifetime is GC-managed: the old epoch stays
+// valid until its last in-flight request drains.
 func loadSnapshot(path string) (*chrome.Dataset, error) {
 	ds, _, err := chrome.DecodeAnyPath(path)
 	return ds, err
+}
+
+// studyServerConfig wires a fully assembled study into the fleet
+// server: site categories and experiments are available.
+func studyServerConfig(s *core.Study) fleet.ServerConfig {
+	runner := experiments.Runner{Study: s}
+	return fleet.ServerConfig{
+		Month:        s.Month,
+		Categorize:   func(domain string) string { return string(s.Categorize(domain)) },
+		Experiment:   runner.Run,
+		LoadSnapshot: loadSnapshot,
+	}
 }
 
 func main() {
@@ -59,7 +71,7 @@ func main() {
 
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8089", "listen address")
-		data        = flag.String("data", "", "serve a wwbgen dataset file (.wwb snapshot or JSON, auto-detected) instead of assembling a study (site categories and experiments unavailable)")
+		data        = flag.String("data", "", "serve a wwbgen dataset file (.wwb snapshot or .wwbd delta, detected by content) instead of assembling a study (site categories and experiments unavailable)")
 		shardFlag   = flag.String("shard", "", "serve only shard i/N of the dataset's (country, month) cells, e.g. 1/4 (requires -data; fronted by wwbrouter)")
 		scale       = flag.String("scale", "small", "universe scale: small, default, large, or huge")
 		seed        = flag.Uint64("seed", 42, "world generation seed")
@@ -92,7 +104,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	mcfg := middlewareConfig{MaxInFlight: *maxInFlight, RequestTimeout: *reqTimeout, Pprof: *pprofFlag}
+	mcfg := fleet.MiddlewareConfig{MaxInFlight: *maxInFlight, RequestTimeout: *reqTimeout, Pprof: *pprofFlag}
 	var shard fleet.Assignment
 	if *shardFlag != "" {
 		if *data == "" {
@@ -105,28 +117,22 @@ func main() {
 	}
 	var handler http.Handler
 	if *data != "" {
-		f, err := os.Open(*data)
-		if err != nil {
-			log.Fatal(err)
-		}
 		loadStart := time.Now()
-		ds, info, err := decodeDataFile(f)
-		cerr := f.Close()
+		ds, info, err := chrome.DecodeAnyPath(*data)
 		if err != nil {
 			log.Fatalf("loading %s: %v", *data, err)
 		}
-		if cerr != nil {
-			// A close failure after a clean decode means the artifact
-			// read cannot be trusted end to end; refuse to serve it.
-			log.Fatalf("closing %s: %v", *data, cerr)
-		}
 		logDatasetLoad(*data, ds, info, time.Since(loadStart))
-		srv := newDatasetServer(ds, shard)
+		srv := fleet.NewServer(ds, fleet.ServerConfig{
+			Shard:        shard,
+			Month:        ds.Opts.DistMonth,
+			LoadSnapshot: loadSnapshot,
+		})
 		if !shard.Whole() {
 			log.Printf("shard %s: serving %d of %d rank lists", shard, srv.Dataset().NumLists(), ds.NumLists())
 		}
 		log.Printf("serving on http://%s", *addr)
-		handler = srv.routes(mcfg)
+		handler = srv.Routes(mcfg)
 	} else {
 		log.Printf("assembling %s study (seed %d)...", *scale, *seed)
 		if cfg.Chaos.Enabled() {
@@ -140,7 +146,7 @@ func main() {
 			log.Printf("assembly stage timings:\n%s", summary)
 		}
 		log.Printf("study ready; serving on http://%s", *addr)
-		handler = newServer(study).routes(mcfg)
+		handler = fleet.NewServer(study.Dataset, studyServerConfig(study)).Routes(mcfg)
 	}
 
 	srv := &http.Server{
@@ -161,20 +167,17 @@ func main() {
 }
 
 // logDatasetLoad records which artifact this replica is serving: the
-// detected format, the snapshot's embedded provenance, and the
+// detected format, the artifact's embedded provenance, and the
 // dataset's own assembly options.
 func logDatasetLoad(path string, ds *chrome.Dataset, info *chrome.SnapshotInfo, took time.Duration) {
-	switch info.Format {
-	case chrome.FormatWWB:
-		log.Printf("loaded %s: wwb snapshot v%d (tool %q, world seed %d, scale %q) in %s",
-			path, info.Version, info.Provenance.Tool, info.Provenance.WorldSeed,
-			info.Provenance.Scale, took.Round(time.Millisecond))
-	case chrome.FormatWWBD:
+	if info.Format == chrome.FormatWWBD {
 		log.Printf("loaded %s: wwbd delta chain of %d over base (producer %q, world seed %d, scale %q) in %s",
 			path, info.Chain, info.Provenance.Tool, info.Provenance.WorldSeed,
 			info.Provenance.Scale, took.Round(time.Millisecond))
-	default:
-		log.Printf("loaded %s: json dataset in %s", path, took.Round(time.Millisecond))
+	} else {
+		log.Printf("loaded %s: wwb snapshot v%d (tool %q, world seed %d, scale %q) in %s",
+			path, info.Version, info.Provenance.Tool, info.Provenance.WorldSeed,
+			info.Provenance.Scale, took.Round(time.Millisecond))
 	}
 	log.Printf("dataset: %d countries, %d months, sampling seed %d, privacy threshold %d, topN %d, dist month %s",
 		len(ds.Countries), len(ds.Months), ds.Opts.Seed, ds.Opts.PrivacyThreshold,

@@ -61,7 +61,7 @@ func TestSnapshotServedResponsesByteIdentical(t *testing.T) {
 	if err := ds1.EncodeSnapshot(&buf, prov); err != nil {
 		t.Fatal(err)
 	}
-	snap, info, err := chrome.DecodeAny(bytes.NewReader(buf.Bytes()))
+	snap, info, err := chrome.DecodeSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +69,9 @@ func TestSnapshotServedResponsesByteIdentical(t *testing.T) {
 		t.Fatalf("format = %q, want wwb", info.Format)
 	}
 
-	memSrv := httptest.NewServer(newDatasetServer(ds8, fleet.Assignment{}).routes(middlewareConfig{}))
+	memSrv := httptest.NewServer(fleet.NewServer(ds8, fleet.ServerConfig{Month: ds8.Opts.DistMonth}).Routes(fleet.MiddlewareConfig{}))
 	defer memSrv.Close()
-	snapSrv := httptest.NewServer(newDatasetServer(snap, fleet.Assignment{}).routes(middlewareConfig{}))
+	snapSrv := httptest.NewServer(fleet.NewServer(snap, fleet.ServerConfig{Month: snap.Opts.DistMonth}).Routes(fleet.MiddlewareConfig{}))
 	defer snapSrv.Close()
 
 	for _, path := range equivPaths {
@@ -96,7 +96,7 @@ func TestSnapshotModeSiteLookupUsesRestoredIndex(t *testing.T) {
 	if err := ds.EncodeSnapshot(&buf, chrome.SnapshotProvenance{Tool: "test"}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := chrome.DecodeAny(&buf)
+	snap, _, err := chrome.DecodeSnapshotBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,20 +25,23 @@ func appendBaseOpts() Options {
 	}
 }
 
-func encodeBytes(t *testing.T, ds *Dataset) []byte {
+// encodeBytes is a dataset's snapshot encoding — the byte-level
+// fingerprint the equivalence tests compare. The snapshot stores exact
+// float64 bits, nil-versus-empty slices, and the interned index.
+func encodeBytes(t testing.TB, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ds.Encode(&buf); err != nil {
+	if err := ds.EncodeSnapshot(&buf, testProvenance); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// cloneDataset round-trips through the JSON codec — a cheap deep copy
-// so one assembled base can feed several mutating append runs.
+// cloneDataset round-trips through the snapshot codec — a cheap deep
+// copy so one assembled base can feed several mutating append runs.
 func cloneDataset(t *testing.T, ds *Dataset) *Dataset {
 	t.Helper()
-	clone, err := Decode(bytes.NewReader(encodeBytes(t, ds)))
+	clone, _, err := DecodeSnapshotBytes(encodeBytes(t, ds))
 	if err != nil {
 		t.Fatalf("decode clone: %v", err)
 	}

@@ -1,7 +1,6 @@
 package chrome
 
 import (
-	"bytes"
 	"testing"
 
 	"wwb/internal/telemetry"
@@ -191,12 +190,12 @@ func TestAssembleDeterminism(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: a snapshot written to disk and loaded
+// back through DecodeAnyPath keeps every queryable part of the
+// dataset.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := testDataset.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	path := writeArtifact(t, t.TempDir(), "study.wwb", encodeTestSnapshot(t))
+	got, _, err := DecodeAnyPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +217,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewBufferString("{nope")); err == nil {
+	if _, _, err := DecodeSnapshotBytes([]byte("{nope")); err == nil {
 		t.Error("garbage input should error")
 	}
-	ds, err := Decode(bytes.NewBufferString("{}"))
+	if _, _, err := DecodeAnyPath(writeArtifact(t, t.TempDir(), "nope.wwb", []byte("{nope"))); err == nil {
+		t.Error("garbage file should error")
+	}
+	// An empty dataset is a valid artifact.
+	ds, _, err := DecodeSnapshotBytes(encodeBytes(t, &Dataset{}))
 	if err != nil {
-		t.Fatalf("empty object should decode: %v", err)
+		t.Fatalf("empty dataset should decode: %v", err)
 	}
 	if ds.List("US", world.Windows, world.PageLoads, world.Feb2022) != nil {
 		t.Error("empty dataset should have nil lists")

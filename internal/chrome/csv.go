@@ -15,8 +15,8 @@ import (
 //
 // one row per list entry, in deterministic order (countries as stored,
 // platforms/metrics/months in canonical order, rank ascending). The
-// distribution curves are not included — use Encode (JSON) for a
-// lossless dump.
+// distribution curves are not included — EncodeSnapshot writes the
+// lossless form.
 func (d *Dataset) EncodeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"country", "platform", "metric", "month", "rank", "domain", "value"}); err != nil {

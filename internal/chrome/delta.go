@@ -32,7 +32,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -54,15 +53,9 @@ const maxDeltaChain = 16
 // the full snapshot's magic.
 var deltaMagic = [8]byte{0x89, 'W', 'W', 'D', '\r', '\n', 0x1a, '\n'}
 
-// deltaSections is the required section order.
-var deltaSections = [...]string{"DMET", "DOMS", "LSTS", "COVR", "DIST"}
-
-var errDeltaNeedsPath = errors.New("chrome: input is a delta snapshot (.wwbd), which requires resolving its base file: decode it with DecodeAnyPath")
-
-// IsDeltaSnapshot reports whether a file prefix carries the .wwbd
-// magic.
-func IsDeltaSnapshot(prefix []byte) bool {
-	return len(prefix) >= len(deltaMagic) && bytes.Equal(prefix[:len(deltaMagic)], deltaMagic[:])
+// isDeltaSnapshot reports whether a file starts with the .wwbd magic.
+func isDeltaSnapshot(data []byte) bool {
+	return len(data) >= len(deltaMagic) && bytes.Equal(data[:len(deltaMagic)], deltaMagic[:])
 }
 
 // SnapshotFileCRC is the whole-file checksum DMET binds a base by:
@@ -85,9 +78,9 @@ type DeltaBase struct {
 	Provenance SnapshotProvenance
 }
 
-// DeltaSnapshot is a decoded .wwbd: the base binding plus the
+// deltaSnapshot is a decoded .wwbd: the base binding plus the
 // increment to apply.
-type DeltaSnapshot struct {
+type deltaSnapshot struct {
 	Version    uint32
 	Base       DeltaBase
 	Increment  *Increment
@@ -139,76 +132,28 @@ func EncodeDelta(w io.Writer, inc *Increment, base DeltaBase, prov SnapshotProve
 	return e.w.Flush()
 }
 
-// DecodeDelta reads a delta snapshot. Decoding is defensive like the
-// full snapshot path — counts validated against remaining bytes,
-// per-section checksums, no trailing garbage — and the embedded
-// increment passes the structural half of validation here; the
-// base-relative half runs when the increment is applied.
-func DecodeDelta(r io.Reader) (*DeltaSnapshot, error) {
-	data, err := io.ReadAll(r)
+// decodeDeltaBytes decodes a delta snapshot held fully in memory.
+// Decoding is defensive like the full snapshot path — counts validated
+// against remaining bytes, per-section checksums, no trailing garbage —
+// and the embedded increment passes the structural half of validation
+// here; the base-relative half runs when the increment is applied.
+func decodeDeltaBytes(data []byte) (*deltaSnapshot, error) {
+	ar, err := newArtifactReader(data, "delta", deltaMagic, DeltaVersion)
 	if err != nil {
-		return nil, fmt.Errorf("chrome: delta: reading input: %w", err)
+		return nil, err
 	}
-	return DecodeDeltaBytes(data)
-}
-
-// DecodeDeltaBytes is DecodeDelta over an input held fully in memory.
-func DecodeDeltaBytes(data []byte) (*DeltaSnapshot, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("chrome: delta: reading file header: file too short")
-	}
-	if !IsDeltaSnapshot(data) {
-		return nil, fmt.Errorf("chrome: delta: bad magic %x (not a .wwbd delta snapshot)", data[:8])
-	}
-	version := binary.LittleEndian.Uint32(data[8:12])
-	if version != DeltaVersion {
-		return nil, fmt.Errorf("chrome: delta: unsupported version %d (this build reads version %d)", version, DeltaVersion)
-	}
-
-	off := 12
-	next := func(tag string) (*snapCursor, error) {
-		if len(data)-off < 16 {
-			return nil, fmt.Errorf("chrome: delta: reading %s section header: file truncated", tag)
-		}
-		length, wantCRC, err := checkSectionHeader(data[off:off+16], tag)
-		if err != nil {
-			return nil, err
-		}
-		if length > uint64(len(data)-off-16) {
-			return nil, fmt.Errorf("chrome: delta: section %s truncated: declared %d bytes, file ends after %d",
-				tag, length, len(data)-off-16)
-		}
-		payload := data[off+16 : off+16+int(length)]
-		if err := verifySectionCRC(payload, wantCRC, tag); err != nil {
-			return nil, err
-		}
-		off += 16 + int(length)
-		return &snapCursor{tag: tag, b: payload}, nil
-	}
-
-	d := &DeltaSnapshot{Version: version, Increment: &Increment{}}
+	d := &deltaSnapshot{Version: DeltaVersion, Increment: &Increment{}}
 	sd := &snapDecoded{}
-	decoders := map[string]func(*snapCursor) error{
-		"DMET": d.decodeMeta,
-		"DOMS": sd.decodeDoms,
-		"LSTS": sd.decodeLists,
-		"COVR": sd.decodeCoverage,
-		"DIST": sd.decodeDist,
-	}
-	for _, tag := range deltaSections {
-		cur, err := next(tag)
-		if err != nil {
+	for _, sec := range []struct {
+		tag string
+		dec func(*snapCursor) error
+	}{{"DMET", d.decodeMeta}, {"DOMS", sd.decodeDoms}, {"LSTS", sd.decodeLists}, {"COVR", sd.decodeCoverage}, {"DIST", sd.decodeDist}} {
+		if err := ar.decode(sec.tag, sec.dec); err != nil {
 			return nil, err
 		}
-		if err := decoders[tag](cur); err != nil {
-			return nil, err
-		}
-		if cur.rem() != 0 {
-			return nil, fmt.Errorf("chrome: delta: section %s has %d undecoded trailing bytes — corrupt file", tag, cur.rem())
-		}
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("chrome: delta: trailing data after final section")
+	if err := ar.end(); err != nil {
+		return nil, err
 	}
 
 	d.Increment.Lists = sd.lists
@@ -223,11 +168,11 @@ func DecodeDeltaBytes(data []byte) (*DeltaSnapshot, error) {
 	// coverage range, normalised curves); base-relative validation —
 	// countries, month coverage, options consistency — happens in
 	// ApplyIncrement against the actual base.
-	if err := validateDataset(&datasetJSON{
+	if err := validateDataset(&Dataset{
 		Months:   []world.Month{d.Increment.Month},
-		Lists:    sd.lists,
-		Dist:     d.Increment.Dist,
-		Coverage: sd.coverage,
+		lists:    sd.lists,
+		dist:     d.Increment.Dist,
+		coverage: sd.coverage,
 	}); err != nil {
 		return nil, fmt.Errorf("chrome: delta: invalid increment: %w", err)
 	}
@@ -235,7 +180,7 @@ func DecodeDeltaBytes(data []byte) (*DeltaSnapshot, error) {
 }
 
 // decodeMeta decodes the DMET section.
-func (d *DeltaSnapshot) decodeMeta(c *snapCursor) error {
+func (d *deltaSnapshot) decodeMeta(c *snapCursor) error {
 	var err error
 	if d.Base.Name, err = c.str(); err != nil {
 		return err
@@ -310,9 +255,9 @@ func (d *DeltaSnapshot) decodeMeta(c *snapCursor) error {
 	return err
 }
 
-// ValidateBase checks a candidate base file's bytes and decoded info
+// validateBase checks a candidate base file's bytes and decoded info
 // against the delta's DMET binding.
-func (d *DeltaSnapshot) ValidateBase(baseData []byte, baseInfo *SnapshotInfo) error {
+func (d *deltaSnapshot) validateBase(baseData []byte, baseInfo *SnapshotInfo) error {
 	if uint64(len(baseData)) != d.Base.Size {
 		return fmt.Errorf("chrome: delta: base is %d bytes, binding wants %d — wrong base file", len(baseData), d.Base.Size)
 	}
@@ -325,15 +270,30 @@ func (d *DeltaSnapshot) ValidateBase(baseData []byte, baseInfo *SnapshotInfo) er
 	return nil
 }
 
-// DecodeAnyPath decodes a dataset artifact by path, resolving delta
-// chains: a .wwbd's base (named relative to the delta's directory) is
-// decoded recursively — itself possibly a delta — validated against
-// the DMET binding, and the increment applied. Plain .wwb and JSON
-// artifacts decode exactly as DecodeAnyBytes would. The returned
+// DecodeAnyPath is the one way to load a dataset file. A .wwb
+// snapshot decodes directly; a .wwbd delta's base (named relative to
+// the delta's directory) is decoded recursively — itself possibly a
+// delta — validated against the DMET binding, and the increment
+// applied. The whole file is read into memory first, so every declared
+// length is checked against the real file size. The returned
 // SnapshotInfo carries the chain depth and, for deltas, the final
 // delta's producer provenance.
 func DecodeAnyPath(path string) (*Dataset, *SnapshotInfo, error) {
 	return decodeAnyPathDepth(path, 0)
+}
+
+// decodeSnapshotFile decodes a non-delta artifact read from path. A
+// JSON dataset from an older wwbgen gets an error that says how to
+// replace it.
+func decodeSnapshotFile(path string, data []byte) (*Dataset, *SnapshotInfo, error) {
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
+		return nil, nil, fmt.Errorf("chrome: %s looks like a JSON dataset, which this build no longer loads: regenerate it as a .wwb snapshot with wwbgen", path)
+	}
+	ds, info, err := DecodeSnapshotBytes(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chrome: loading %s: %w", path, err)
+	}
+	return ds, info, nil
 }
 
 func decodeAnyPathDepth(path string, depth int) (*Dataset, *SnapshotInfo, error) {
@@ -344,10 +304,10 @@ func decodeAnyPathDepth(path string, depth int) (*Dataset, *SnapshotInfo, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chrome: reading dataset %s: %w", path, err)
 	}
-	if !IsDeltaSnapshot(data) {
-		return DecodeAnyBytes(data)
+	if !isDeltaSnapshot(data) {
+		return decodeSnapshotFile(path, data)
 	}
-	d, err := DecodeDeltaBytes(data)
+	d, err := decodeDeltaBytes(data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chrome: delta %s: %w", path, err)
 	}
@@ -363,15 +323,15 @@ func decodeAnyPathDepth(path string, depth int) (*Dataset, *SnapshotInfo, error)
 		ds       *Dataset
 		baseInfo *SnapshotInfo
 	)
-	if IsDeltaSnapshot(baseData) {
+	if isDeltaSnapshot(baseData) {
 		ds, baseInfo, err = decodeAnyPathDepth(basePath, depth+1)
 	} else {
-		ds, baseInfo, err = DecodeAnyBytes(baseData)
+		ds, baseInfo, err = decodeSnapshotFile(basePath, baseData)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := d.ValidateBase(baseData, baseInfo); err != nil {
+	if err := d.validateBase(baseData, baseInfo); err != nil {
 		return nil, nil, fmt.Errorf("chrome: delta %s: %w", path, err)
 	}
 	if err := ds.ApplyIncrement(d.Increment); err != nil {

@@ -3,8 +3,8 @@ package chrome
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wwb/internal/telemetry"
@@ -24,10 +24,10 @@ func encodeTestSnapshot(t testing.TB) []byte {
 
 // TestSnapshotRoundTrip is the acceptance bar: a dataset decoded from
 // a .wwb snapshot must be byte-identical to the in-memory one — same
-// JSON encoding, same interned index, same memoized per-cell views.
+// interned index, same memoized per-cell views, same snapshot bytes.
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := encodeTestSnapshot(t)
-	ds, info, err := DecodeSnapshot(bytes.NewReader(snap))
+	ds, info, err := DecodeSnapshotBytes(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +36,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if info.Provenance != testProvenance {
 		t.Errorf("provenance = %+v, want %+v", info.Provenance, testProvenance)
-	}
-
-	// The dataset itself: JSON re-encoding must match byte for byte.
-	var orig, decoded bytes.Buffer
-	if err := testDataset.Encode(&orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Encode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig.Bytes(), decoded.Bytes()) {
-		t.Error("JSON encoding of snapshot-decoded dataset differs from original")
 	}
 
 	// The restored index must match what buildIndex would compute from
@@ -98,40 +86,36 @@ func TestSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDecodeAnyAutodetects: DecodeAny must route .wwb bytes to the
-// snapshot decoder and anything else to the JSON decoder, yielding
-// equivalent datasets either way.
+// TestDecodeAnyAutodetects: DecodeAnyPath must route .wwb files to
+// the snapshot decoder and .wwbd files to the chain resolver by their
+// magic bytes, whatever the file is called, and reject anything else.
 func TestDecodeAnyAutodetects(t *testing.T) {
-	snap := encodeTestSnapshot(t)
-	dsSnap, info, err := DecodeAny(bytes.NewReader(snap))
+	fx := deltaFixture(t)
+	dir := t.TempDir()
+	writeArtifact(t, dir, "study.wwb", fx.baseSnap)
+	// Misleading extensions: detection is by content.
+	snapPath := writeArtifact(t, dir, "snap.wwbd", fx.baseSnap)
+	deltaPath := writeArtifact(t, dir, "delta.wwb", fx.delta)
+
+	ds, info, err := DecodeAnyPath(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Format != FormatWWB {
-		t.Errorf("snapshot detected as %q", info.Format)
+	if info.Format != FormatWWB || info.Chain != 0 || info.Provenance != testProvenance {
+		t.Errorf("snapshot detected as %+v", info)
 	}
-
-	var jbuf bytes.Buffer
-	if err := testDataset.Encode(&jbuf); err != nil {
+	if !bytes.Equal(encodeBytes(t, ds), fx.baseSnap) {
+		t.Error("DecodeAnyPath(wwb) re-encodes differently from the file")
+	}
+	if _, info, err = DecodeAnyPath(deltaPath); err != nil {
 		t.Fatal(err)
 	}
-	dsJSON, info2, err := DecodeAny(bytes.NewReader(jbuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if info.Format != FormatWWBD || info.Chain != 1 {
+		t.Errorf("delta detected as %+v", info)
 	}
-	if info2.Format != FormatJSON {
-		t.Errorf("json detected as %q", info2.Format)
-	}
-
-	var a, b bytes.Buffer
-	if err := dsSnap.Encode(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := dsJSON.Encode(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("DecodeAny(wwb) and DecodeAny(json) datasets differ")
+	garbage := writeArtifact(t, dir, "garbage.wwb", []byte("not an artifact at all"))
+	if _, _, err := DecodeAnyPath(garbage); err == nil {
+		t.Error("DecodeAnyPath accepted a file with no artifact magic")
 	}
 }
 
@@ -150,12 +134,12 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	}
 	offsets = append(offsets, len(snap)-1)
 	for _, off := range offsets {
-		if _, _, err := DecodeSnapshot(bytes.NewReader(snap[:off])); err == nil {
+		if _, _, err := DecodeSnapshotBytes(snap[:off]); err == nil {
 			t.Errorf("truncation at %d/%d accepted", off, len(snap))
 		}
 	}
 	// The untruncated file still decodes.
-	if _, _, err := DecodeSnapshot(bytes.NewReader(snap)); err != nil {
+	if _, _, err := DecodeSnapshotBytes(snap); err != nil {
 		t.Fatalf("full snapshot rejected: %v", err)
 	}
 }
@@ -179,7 +163,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	for _, off := range offsets {
 		mut := append([]byte(nil), snap...)
 		mut[off] ^= 0x40
-		if _, _, err := DecodeSnapshot(bytes.NewReader(mut)); err == nil {
+		if _, _, err := DecodeSnapshotBytes(mut); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
@@ -190,20 +174,19 @@ func TestSnapshotRejectsWrongMagicAndVersion(t *testing.T) {
 
 	wrongMagic := append([]byte(nil), snap...)
 	wrongMagic[0] = 'X'
-	if _, _, err := DecodeSnapshot(bytes.NewReader(wrongMagic)); err == nil {
+	if _, _, err := DecodeSnapshotBytes(wrongMagic); err == nil {
 		t.Error("wrong magic accepted")
 	}
 
 	future := append([]byte(nil), snap...)
 	binary.LittleEndian.PutUint32(future[8:12], SnapshotVersion+1)
-	if _, _, err := DecodeSnapshot(bytes.NewReader(future)); err == nil {
+	if _, _, err := DecodeSnapshotBytes(future); err == nil {
 		t.Error("future version accepted")
 	}
 
-	// DecodeAny falls back to JSON on a non-magic prefix and reports a
-	// JSON error, not a snapshot one.
-	if _, _, err := DecodeAny(bytes.NewReader(wrongMagic)); err == nil {
-		t.Error("DecodeAny accepted corrupted magic as JSON")
+	// The file path refuses it too.
+	if _, _, err := DecodeAnyPath(writeArtifact(t, t.TempDir(), "bad.wwb", wrongMagic)); err == nil {
+		t.Error("DecodeAnyPath accepted corrupted magic")
 	}
 }
 
@@ -211,36 +194,27 @@ func TestSnapshotRejectsWrongMagicAndVersion(t *testing.T) {
 // the file was not produced by EncodeSnapshot.
 func TestSnapshotRejectsTrailingData(t *testing.T) {
 	snap := append(encodeTestSnapshot(t), 0xFF)
-	if _, _, err := DecodeSnapshot(bytes.NewReader(snap)); err == nil {
+	if _, _, err := DecodeSnapshotBytes(snap); err == nil {
 		t.Error("trailing data accepted")
 	}
 }
 
 // TestSnapshotBoundedAllocation: a header declaring an absurd section
-// length must fail with a truncation error after reading the actual
-// bytes, not attempt a matching allocation.
+// length must fail with a truncation error against the actual file
+// size, not attempt a matching allocation.
 func TestSnapshotBoundedAllocation(t *testing.T) {
 	snap := encodeTestSnapshot(t)
 	mut := append([]byte(nil), snap...)
 	// First section header starts at 12: tag[4] at 12, length at 16.
 	binary.LittleEndian.PutUint64(mut[16:24], 1<<50)
-	// Seekable input: rejected against the measured file size before
-	// any allocation. Non-seekable input: rejected after chunked reads
-	// exhaust the bytes actually present.
-	if _, _, err := DecodeSnapshot(bytes.NewReader(mut)); err == nil {
-		t.Error("absurd section length accepted (seekable)")
-	}
-	if _, _, err := DecodeSnapshot(nonSeekable{bytes.NewReader(mut)}); err == nil {
-		t.Error("absurd section length accepted (non-seekable)")
+	_, _, err := DecodeSnapshotBytes(mut)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("absurd section length: err = %v, want a truncation error", err)
 	}
 }
 
-// nonSeekable hides bytes.Reader's Seek method so decoding takes the
-// unknown-input-size (chunked) path.
-type nonSeekable struct{ io.Reader }
-
-// FuzzDecodeSnapshot feeds arbitrary bytes through the snapshot path
-// (directly and via DecodeAny): they must be rejected with an error or
+// FuzzDecodeSnapshot feeds arbitrary bytes through the snapshot
+// decoder: they must be rejected with an error or
 // produce a dataset whose query surface is safe, and never panic or
 // allocate past the data actually present.
 func FuzzDecodeSnapshot(f *testing.F) {
@@ -264,21 +238,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"lists":{}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, _, err := DecodeSnapshot(bytes.NewReader(data))
-		if err == nil {
-			exerciseDataset(ds)
-		}
-		// The chunked path for readers whose size cannot be measured
-		// must agree with the sized path on accept/reject.
-		ds2, _, err2 := DecodeSnapshot(nonSeekable{bytes.NewReader(data)})
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("sized path err=%v, chunked path err=%v", err, err2)
-		}
-		if err2 == nil {
-			exerciseDataset(ds2)
-		}
-		ds, _, err = DecodeAny(bytes.NewReader(data))
-		if err == nil {
+		if ds, _, err := DecodeSnapshotBytes(data); err == nil {
 			exerciseDataset(ds)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"wwb/internal/chrome"
 	"wwb/internal/world"
 )
 
@@ -24,10 +25,10 @@ func TestStudyWorkerCountInvariance(t *testing.T) {
 	par := build(8)
 
 	var bseq, bpar bytes.Buffer
-	if err := seq.Dataset.Encode(&bseq); err != nil {
+	if err := seq.Dataset.EncodeSnapshot(&bseq, chrome.SnapshotProvenance{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Dataset.Encode(&bpar); err != nil {
+	if err := par.Dataset.EncodeSnapshot(&bpar, chrome.SnapshotProvenance{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bseq.Bytes(), bpar.Bytes()) {

@@ -2,7 +2,7 @@
 // wwbserve process into a sharded, replicated fleet with zero-downtime
 // dataset rollover.
 //
-// Three pieces compose it:
+// Four pieces compose it:
 //
 //   - Server: the /v1 dataset HTTP API (extracted from wwbserve so the
 //     router and the fleet tests can host shards in-process), extended
@@ -17,7 +17,14 @@
 //     order, so every /v1 response is byte-identical to a single
 //     process serving the whole dataset. Replicas are health-gated
 //     with retry-on-failure, and fan-outs are epoch-checked so a
-//     response is never assembled from two dataset epochs.
+//     response is never assembled from two dataset epochs. The router
+//     has no swap endpoint; it learns a new epoch from the replicas'
+//     responses.
+//   - Supervisor (cmd/wwbfleet): runs and restarts the replicas and is
+//     the one fleet-swap orchestrator — it validates an artifact,
+//     quarantines a corrupt one, checks its provenance against the
+//     running fleet, rolls every replica to a fixed epoch, and rolls
+//     back on a partial failure.
 //   - LoadGen/RunLoad: a seed-deterministic zipfian query-mix
 //     generator and open-loop replay harness (cmd/wwbload) reporting
 //     p50/p99 latency and shed rate against SLOs.

@@ -154,8 +154,8 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 
 // TestCruxCacheEvictedOnEpochAdvance: the per-epoch /v1/crux cache is
 // dropped as soon as the router learns the fleet moved to a newer
-// epoch — via a fleet swap it orchestrated or an epoch observed on any
-// sub-response — so a superseded export never pins its memory.
+// epoch — from an epoch observed on any sub-response — so a superseded
+// export never pins its memory.
 func TestCruxCacheEvictedOnEpochAdvance(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -181,13 +181,15 @@ func TestCruxCacheEvictedOnEpochAdvance(t *testing.T) {
 		t.Fatalf("crux cache not populated at epoch 1 (ok=%v epoch=%d)", ok, epoch)
 	}
 
-	// A fleet swap advances the epoch; the stale export must be gone
-	// the moment the swap completes, not at the next /v1/crux request.
-	if status, body := postSwap(t, ts.URL, "data=B.wwb"); status != http.StatusOK {
-		t.Fatalf("fleet swap: status %d (%s)", status, body)
+	// A supervisor-style roll advances the epoch; the stale export
+	// must be gone as soon as any ordinary request reveals the new
+	// epoch, not at the next /v1/crux request.
+	rollReplicas(t, groups, "B.wwb", 2)
+	if status, _, _ := fetch(t, ts.URL, "/v1/list?country="+fleetDS.Countries[0]+"&n=5"); status != http.StatusOK {
+		t.Fatalf("list after roll: status %d", status)
 	}
 	if ok, _ := cached(); ok {
-		t.Fatal("superseded crux export still cached after the swap")
+		t.Fatal("superseded crux export still cached after a response revealed the new epoch")
 	}
 
 	// Repopulate at epoch 2, then let noteEpoch observe a newer epoch

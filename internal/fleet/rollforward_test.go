@@ -14,7 +14,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,7 +144,8 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	}
 
 	// Live fleet: boot on the base epoch, warm the caches on the old
-	// month, then roll the whole fleet to the delta through the router.
+	// month, then roll every replica to the delta at epoch 2, as the
+	// supervisor does.
 	groups := startShards(t, fleetDS, 2, fileLoader)
 	router := startRouter(t, groups)
 	if status, _, _ := fetch(t, router.URL, "/v1/crux"); status != http.StatusOK {
@@ -154,10 +154,7 @@ func TestFleetDeltaSwapByteEquivalence(t *testing.T) {
 	if status, _, body := fetch(t, router.URL, "/v1/list?country="+fleetDS.Countries[0]+"&month=2022-03"); status != http.StatusNotFound {
 		t.Fatalf("pre-swap March list: status %d (%s), want 404", status, body)
 	}
-	status, body := postSwap(t, router.URL, "data="+url.QueryEscape(deltaPath))
-	if status != http.StatusOK || !strings.Contains(string(body), `"complete":true`) {
-		t.Fatalf("fleet swap to delta: status %d (%s)", status, body)
-	}
+	rollReplicas(t, groups, deltaPath, 2)
 
 	paths := equivPaths(oracleDS)
 	if len(paths) < 100 {
@@ -223,17 +220,7 @@ func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
 
 	// Swap every shard out of band: straight to the replicas, the
 	// router never sees a request.
-	for i, g := range groups {
-		resp, err := http.Post(g[0]+"/admin/swap?data=B.wwb&epoch=2", "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("out-of-band swap of shard %d: status %d", i, resp.StatusCode)
-		}
-	}
+	rollReplicas(t, groups, "B.wwb", 2)
 
 	status, _, got := fetch(t, router.URL, "/v1/crux")
 	if status != http.StatusOK {
@@ -246,13 +233,11 @@ func TestRouterCruxFreshAfterOutOfBandSwap(t *testing.T) {
 		t.Fatalf("post-swap crux matches neither oracle: %.120s", got)
 	}
 
-	// And a swap through the router itself must evict the cache the
-	// same way: back to A at a strictly newer epoch.
-	if status, body := postSwap(t, router.URL, "data=A.wwb"); status != http.StatusOK {
-		t.Fatalf("router swap back: status %d (%s)", status, body)
-	}
+	// And a second roll must evict the cache the same way: back to A
+	// at a strictly newer epoch.
+	rollReplicas(t, groups, "A.wwb", 3)
 	if _, _, got := fetch(t, router.URL, "/v1/crux"); !bytes.Equal(got, wantA) {
-		t.Fatal("router served a stale crux export after its own swap")
+		t.Fatal("router served a stale crux export after the second roll")
 	}
 }
 
@@ -339,6 +324,41 @@ func TestSupervisorDeltaSwap(t *testing.T) {
 	}
 	if out == nil || out.Quarantined != torn+".bad" {
 		t.Fatalf("outcome %+v does not report the quarantined delta", out)
+	}
+}
+
+// TestSupervisorRefusesZeroProvenance: every artifact carries its
+// provenance, so the gate has no exemption. A snapshot whose
+// provenance is empty is refused — not quarantined — on a fleet
+// serving a wwbgen snapshot, and no replica moves.
+func TestSupervisorRefusesZeroProvenance(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+
+	dir := t.TempDir()
+	wwbgenProv := chrome.SnapshotProvenance{Tool: "wwbgen", WorldSeed: world.SmallConfig().Seed, Scale: "small"}
+	studyPath := writeSnapshotProv(t, dir, "study.wwb", fleetDS, wwbgenProv)
+	zeroPath := writeSnapshotProv(t, dir, "zero.wwb", altDS, chrome.SnapshotProvenance{})
+
+	ff := &fakeFleet{t: t, shards: 2, procs: map[string]*fakeProc{}}
+	sup, groups, _ := startSupervisedFleet(t, ff, 2, 1, studyPath)
+
+	_, err := sup.Swap(context.Background(), zeroPath)
+	if err == nil || !strings.Contains(err.Error(), "provenance gate") {
+		t.Fatalf("zero-provenance swap: err = %v, want a provenance gate refusal", err)
+	}
+	if _, err := os.Stat(zeroPath); err != nil {
+		t.Errorf("zero-provenance artifact was quarantined: %v", err)
+	}
+	if sup.CurrentData() != studyPath {
+		t.Errorf("current data moved to %q after a gated swap", sup.CurrentData())
+	}
+	for _, g := range groups {
+		for _, addr := range g {
+			if e := epochOf(t, addr); e != 1 {
+				t.Errorf("replica %s moved to epoch %d during a gated swap", addr, e)
+			}
+		}
 	}
 }
 

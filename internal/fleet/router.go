@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -347,7 +346,6 @@ func (rt *Router) Routes(mcfg MiddlewareConfig) http.Handler {
 	mux.HandleFunc("GET /v1/crux", rt.handleCrux)
 	mux.HandleFunc("GET /v1/experiments", rt.handleExperiments)
 	mux.HandleFunc("GET /v1/experiment/{id}", rt.handleProxyAny)
-	mux.HandleFunc("POST /admin/swap", rt.handleSwap)
 	mux.HandleFunc("GET /shard/info", rt.handleInfo)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
@@ -657,9 +655,9 @@ func (rt *Router) getInfo(ctx context.Context) (*fleetInfo, error) {
 
 // probeInfo fetches /shard/info live from a shard, bypassing the info
 // cache, and refreshes the cache with the answer. Callers that must
-// observe out-of-band swaps — epoch bumps performed by a supervisor
-// directly against the replicas, which this router never sees as a
-// request — use this instead of getInfo: the cached epoch cannot
+// observe swaps — epoch bumps performed by the supervisor directly
+// against the replicas, which this router never sees as a request —
+// use this instead of getInfo: the cached epoch cannot
 // vouch for itself. probeInfo only stores the fresh info; it must not
 // evict dependent caches (evictCruxBefore takes cruxMu, which cruxData
 // holds while calling here).
@@ -684,7 +682,7 @@ func (rt *Router) probeInfo(ctx context.Context) (*fleetInfo, error) {
 
 // invalidate drops the cached fleet info (and with it the default
 // month) so the next request refetches; called when a response's epoch
-// disagrees with the cache and after swaps.
+// disagrees with the cache.
 func (rt *Router) invalidate() {
 	rt.infoMu.Lock()
 	rt.info = nil
@@ -967,8 +965,8 @@ func (rt *Router) cruxData(ctx context.Context) ([]crux.Record, uint64, error) {
 	defer rt.cruxMu.Unlock()
 	// A cheap single-shard LIVE probe decides cache validity; the
 	// expensive full fan-out only runs when the epoch or month moved.
-	// The probe must be live, not the cached getInfo: a supervisor
-	// swapping replicas out of band leaves this router's info cache at
+	// The probe must be live, not the cached getInfo: the supervisor
+	// swapping replicas leaves this router's info cache at
 	// the old epoch, and a cached epoch comparing equal to itself
 	// would pin the superseded export forever.
 	info, err := rt.probeInfo(ctx)
@@ -1028,92 +1026,6 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"month":     info.Month,
 		"countries": info.Countries,
 		"months":    info.Months,
-	})
-}
-
-// swapResult is one replica's outcome during a fleet swap.
-type swapResult struct {
-	Shard   int    `json:"shard"`
-	Replica string `json:"replica"`
-	Status  int    `json:"status"`
-	Error   string `json:"error,omitempty"`
-}
-
-// handleSwap orchestrates a fleet-wide epoch swap: it reads the
-// current maximum epoch across replicas, picks max+1 as the target,
-// and POSTs /admin/swap?data=…&epoch=target to every replica of every
-// shard in parallel. The fixed target makes the operation idempotent —
-// a replica that already swapped answers 200 again — so a partially
-// failed swap is safely retried until the whole fleet converges.
-func (rt *Router) handleSwap(w http.ResponseWriter, r *http.Request) {
-	path := r.FormValue("data")
-	if path == "" {
-		HTTPError(w, http.StatusBadRequest, "missing data parameter (path to the new artifact)")
-		return
-	}
-	type target struct {
-		shard int
-		rep   *replica
-	}
-	var targets []target
-	for i, g := range rt.shards {
-		for _, rep := range g.replicas {
-			targets = append(targets, target{shard: i, rep: rep})
-		}
-	}
-	// Discover the fleet's max epoch so the target epoch is strictly
-	// newer everywhere, even after a previous partial swap.
-	var maxEpoch atomic.Uint64
-	parallel.ForEach(rt.workers, len(targets), func(i int) {
-		resp, err := rt.doReplica(r.Context(), targets[i].rep, http.MethodGet, "/shard/info")
-		if err != nil {
-			return
-		}
-		for {
-			cur := maxEpoch.Load()
-			if resp.epoch <= cur || maxEpoch.CompareAndSwap(cur, resp.epoch) {
-				break
-			}
-		}
-	})
-	if maxEpoch.Load() == 0 {
-		HTTPError(w, http.StatusBadGateway, "no replica reachable to establish current epoch")
-		return
-	}
-	epoch := maxEpoch.Load() + 1
-	uri := "/admin/swap?data=" + url.QueryEscape(path) + "&epoch=" + strconv.FormatUint(epoch, 10)
-	results := parallel.Map(rt.workers, len(targets), func(i int) swapResult {
-		res := swapResult{Shard: targets[i].shard, Replica: targets[i].rep.base}
-		resp, err := rt.doReplica(r.Context(), targets[i].rep, http.MethodPost, uri)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		res.Status = resp.status
-		if resp.status != http.StatusOK {
-			res.Error = strings.TrimSpace(string(resp.body))
-		}
-		return res
-	})
-	rt.invalidate()
-	rt.evictCruxBefore(epoch)
-	ok := true
-	for _, res := range results {
-		if res.Status != http.StatusOK {
-			ok = false
-		}
-	}
-	status := http.StatusOK
-	if !ok {
-		status = http.StatusBadGateway
-	} else {
-		mRouterEpoch.Set(int64(epoch))
-	}
-	WriteJSON(w, status, map[string]any{
-		"epoch":    epoch,
-		"data":     path,
-		"complete": ok,
-		"replicas": results,
 	})
 }
 

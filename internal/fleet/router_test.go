@@ -205,3 +205,31 @@ func TestRouterReportsGatewayErrorWhenShardUnreachable(t *testing.T) {
 		t.Errorf("degraded envelope %q does not attribute shard 0", env["error"])
 	}
 }
+
+// TestRouterHasNoSwapEndpoint: a fleet swap has one orchestrator, the
+// supervisor's gated one. POST /admin/swap on the router falls through
+// to the JSON 404 catch-all and no replica moves.
+func TestRouterHasNoSwapEndpoint(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prevWriter())
+
+	groups := startShards(t, fleetDS, 2, testLoader)
+	router := startRouter(t, groups)
+	status, body := postSwap(t, router.URL, "data=B.wwb")
+	if status != http.StatusNotFound {
+		t.Fatalf("router POST /admin/swap: status %d (%s), want 404", status, body)
+	}
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil || !strings.Contains(env.Error, "/admin/swap") {
+		t.Errorf("404 body %q is not the JSON catch-all envelope (err %v)", body, err)
+	}
+	for _, g := range groups {
+		for _, base := range g {
+			if e := epochOf(t, strings.TrimPrefix(base, "http://")); e != 1 {
+				t.Errorf("replica %s moved to epoch %d", base, e)
+			}
+		}
+	}
+}

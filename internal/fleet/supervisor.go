@@ -346,21 +346,6 @@ func (s *Supervisor) Status() []ReplicaStatus {
 	return out
 }
 
-// ValidateSnapshot is the swap gate: a scratch decode of the artifact
-// on the supervisor, before any replica is asked to load it. A fleet
-// must never discover a corrupt snapshot one replica at a time,
-// mid-rollout. Delta artifacts (.wwbd) resolve their full base chain
-// here — a delta whose base is missing, corrupt, or the wrong lineage
-// is rejected at the gate, exactly as a replica's loader would reject
-// it.
-func ValidateSnapshot(path string) (*chrome.SnapshotInfo, error) {
-	_, info, err := chrome.DecodeAnyPath(path)
-	if err != nil {
-		return nil, err
-	}
-	return info, nil
-}
-
 // Quarantine renames a corrupt artifact out of the rollout path
 // (path → path.bad) so no later swap — human or automated — can pick
 // it up again, and logs what is known about its provenance.
@@ -379,6 +364,14 @@ func Quarantine(path string, cause error) string {
 	return bad
 }
 
+// swapResult is one replica's outcome during a fleet swap.
+type swapResult struct {
+	Shard   int    `json:"shard"`
+	Replica string `json:"replica"`
+	Status  int    `json:"status"`
+	Error   string `json:"error,omitempty"`
+}
+
 // SwapOutcome is the result of one fleet swap attempt.
 type SwapOutcome struct {
 	Epoch       uint64       `json:"epoch"`
@@ -392,9 +385,13 @@ type SwapOutcome struct {
 // Swap rolls the whole fleet to a new artifact with the crash-safe
 // protocol:
 //
-//  1. Gate: scratch-load the artifact here first. A corrupt snapshot
-//     is quarantined (renamed .bad, provenance logged) and no replica
-//     ever sees it.
+//  1. Gate: scratch-load the artifact here first, through the same
+//     chrome.DecodeAnyPath every replica's loader uses — a delta's
+//     whole base chain is resolved and checked. A fleet must never
+//     discover a corrupt artifact one replica at a time, mid-rollout:
+//     a corrupt one is quarantined (renamed .bad, provenance logged)
+//     and no replica ever sees it. An artifact of a different world
+//     than the one being served is refused.
 //  2. Roll out: POST /admin/swap?data=…&epoch=target (current fleet
 //     max + 1) to every replica in parallel — the fixed target keeps
 //     the operation idempotent per replica.
@@ -406,7 +403,7 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 
-	info, err := ValidateSnapshot(path)
+	_, info, err := chrome.DecodeAnyPath(path)
 	if err != nil {
 		bad := Quarantine(path, err)
 		return &SwapOutcome{Data: path, Quarantined: bad},
@@ -421,13 +418,13 @@ func (s *Supervisor) Swap(ctx context.Context, path string) (*SwapOutcome, error
 	// its own base is already checked by the chain resolution above;
 	// this check catches the remaining mistake — rolling a healthy
 	// fleet onto a perfectly valid snapshot of a different universe.
-	// JSON artifacts carry no provenance and are exempt.
-	if prev := s.CurrentData(); prev != "" && prev != path && info.Provenance.Tool != "" {
-		if prevInfo, perr := ValidateSnapshot(prev); perr != nil {
+	// Every artifact carries its provenance, so world seed and scale
+	// are always compared.
+	if prev := s.CurrentData(); prev != "" && prev != path {
+		if _, prevInfo, perr := chrome.DecodeAnyPath(prev); perr != nil {
 			log.Printf("provenance gate skipped: current artifact %s unreadable: %v", prev, perr)
-		} else if prevInfo.Provenance.Tool != "" &&
-			(prevInfo.Provenance.WorldSeed != info.Provenance.WorldSeed ||
-				prevInfo.Provenance.Scale != info.Provenance.Scale) {
+		} else if prevInfo.Provenance.WorldSeed != info.Provenance.WorldSeed ||
+			prevInfo.Provenance.Scale != info.Provenance.Scale {
 			return &SwapOutcome{Data: path}, fmt.Errorf(
 				"provenance gate rejected %s: world seed %d scale %q does not match the running fleet's %s (seed %d scale %q)",
 				path, info.Provenance.WorldSeed, info.Provenance.Scale,

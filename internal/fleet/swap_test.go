@@ -6,6 +6,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,6 +47,47 @@ func postSwap(t *testing.T, base, query string) (int, []byte) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, body
+}
+
+// rollReplicas swaps every replica of every shard to data at a fixed
+// epoch, in parallel — what a supervisor's rollout does. The router is
+// not involved; it learns the new epoch from the replicas' responses.
+func rollReplicas(t *testing.T, groups [][]string, data string, epoch uint64) {
+	t.Helper()
+	query := "data=" + url.QueryEscape(data) + "&epoch=" + strconv.FormatUint(epoch, 10)
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		errs []string
+	)
+	for _, g := range groups {
+		for _, base := range g {
+			wg.Add(1)
+			go func(base string) {
+				defer wg.Done()
+				resp, err := http.Post(base+"/admin/swap?"+query, "", nil)
+				msg := ""
+				if err != nil {
+					msg = err.Error()
+				} else {
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						msg = fmt.Sprintf("status %d (%s)", resp.StatusCode, body)
+					}
+				}
+				if msg != "" {
+					mu.Lock()
+					errs = append(errs, base+": "+msg)
+					mu.Unlock()
+				}
+			}(base)
+		}
+	}
+	wg.Wait()
+	if len(errs) > 0 {
+		t.Fatalf("rolling replicas to %s at epoch %d: %s", data, epoch, strings.Join(errs, "; "))
+	}
 }
 
 // TestSwapProtocol pins the epoch rules: auto-increment, idempotent
@@ -242,7 +284,8 @@ func TestHotSwapHammerSingleServer(t *testing.T) {
 
 // TestHotSwapHammerFleet runs the same discipline through a router
 // over two shards: cross-shard merges (/v1/site, /v1/crux) must never
-// combine epochs even while the whole fleet rolls over repeatedly.
+// combine epochs even while the whole fleet rolls over repeatedly,
+// replica by replica, at fixed epochs the way a supervisor rolls it.
 func TestHotSwapHammerFleet(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(prevWriter())
@@ -261,12 +304,6 @@ func TestHotSwapHammerFleet(t *testing.T) {
 		if i%2 == 1 {
 			data = "A.wwb"
 		}
-		status, body := postSwap(t, router.URL, "data="+data)
-		if status != http.StatusOK {
-			t.Fatalf("fleet swap %d: status %d (%s)", i, status, body)
-		}
-		if !strings.Contains(string(body), `"complete":true`) {
-			t.Fatalf("fleet swap %d incomplete: %s", i, body)
-		}
+		rollReplicas(t, groups, data, uint64(i+2))
 	})
 }
